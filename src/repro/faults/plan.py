@@ -287,7 +287,8 @@ def parse_faults(spec: str, *, seed: int = 0) -> FaultPlan | None:
 
     ``"none"``/``"off"``/``""`` disable fault injection (returns
     ``None``).  Times accept ``ns``/``us``/``ms`` suffixes; repeat
-    ``one_off=`` to plant several delays.
+    ``crash=`` or ``one_off=`` to plant several; any other key given
+    twice is a :class:`ConfigError`.
     """
     text = spec.strip().lower()
     if text in ("", "none", "off", "quiet"):
@@ -295,6 +296,7 @@ def parse_faults(spec: str, *, seed: int = 0) -> FaultPlan | None:
     kwargs: dict[str, _t.Any] = {"seed": seed}
     crashes: list[tuple[int, int]] = []
     one_off: list[tuple[int, int, int]] = []
+    seen: set[str] = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -304,6 +306,9 @@ def parse_faults(spec: str, *, seed: int = 0) -> FaultPlan | None:
         key, _, value = part.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen and key not in ("crash", "one_off"):
+            raise ConfigError(f"fault spec key {key!r} given more than once")
+        seen.add(key)
         try:
             if key == "drop":
                 kwargs["drop_rate"] = float(value)

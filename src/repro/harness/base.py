@@ -76,7 +76,9 @@ def set_execution_policy(*, workers: int | None = None,
     if workers is not None:
         _POLICY.workers = workers
     if cache is not None:
-        _POLICY.cache = cache or None
+        # Compare with "" rather than test truth: an empty ResultCache
+        # is falsy through __len__ and must still enable caching.
+        _POLICY.cache = None if cache == "" else cache
     return _POLICY
 
 

@@ -25,7 +25,7 @@ import typing as _t
 
 from ..errors import SimulationError
 from ..noise import CompositeNoise, NoiseSource, NullNoise
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Timeout
 
 __all__ = ["CPU"]
 
@@ -82,12 +82,15 @@ class CPU:
                 "application context per CPU")
         if work == 0:
             return
+        env = self.env
         cycles = work if self.speed == 1.0 else round(work / self.speed)
-        start = self.env.now
-        self._deadline = start + self.noise.wall_time(start, cycles)
+        now = env._now
+        self._deadline = now + self.noise.wall_time(now, cycles)
         try:
-            while self.env.now < self._deadline:
-                yield self.env.timeout(self._deadline - self.env.now)
+            # A transient steal may push the deadline while we wait.
+            while now < self._deadline:
+                yield Timeout(env, self._deadline - now)
+                now = env._now
         finally:
             self._deadline = None
         self.work_executed_ns += work

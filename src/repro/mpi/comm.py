@@ -29,7 +29,7 @@ from ..errors import MPIError
 from ..kernel.node import Node
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Timeout
 from .constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -224,11 +224,6 @@ class MPIWorld:
         comm = comm or self.world
         return RankComm(self, comm, rank)
 
-    def all_contexts(self, comm: Communicator | None = None) -> list["RankComm"]:
-        """One context per rank, in rank order."""
-        comm = comm or self.world
-        return [self.rank_context(r, comm) for r in range(comm.size)]
-
 
 class RankComm:
     """One rank's view of a communicator (the object rank code uses)."""
@@ -265,62 +260,100 @@ class RankComm:
             totals[op] = totals.get(op, 0) + 1
 
     # -- point-to-point -------------------------------------------------------------
+    # send, recv and sendrecv are each one generator frame over
+    # cpu.compute: they inline isend/irecv/Request.wait (receive
+    # completion: the critical-path edge, then LogGP ``o`` as CPU work)
+    # and yield the same events in the same order.
     def send(self, dest: int, size: int, *, tag: int = 0,
              payload: _t.Any = None) -> _t.Generator[Event, object, None]:
         """Blocking-but-eager send: returns once the message is injected."""
-        req = yield from self.isend(dest, size, tag=tag, payload=payload)
-        yield from req.wait()
+        dst_node = self._begin_send(dest, tag)
+        yield from self.node.cpu.compute(
+            self.world.network.send_overhead_work(self.node_id))
+        self._inject(dst_node, size, tag, payload)
+        # The eager send completes through a zero-delay event, as the
+        # Request returned by isend does.
+        yield Timeout(self.env, 0)
 
     def isend(self, dest: int, size: int, *, tag: int = 0,
               payload: _t.Any = None) -> _t.Generator[Event, object, Request]:
         """Non-blocking send; the returned request is already complete
         (eager protocol — the simulator models no rendezvous)."""
-        self._validate_tag(tag)
-        dst_node = self.comm.node(dest)
-        self._count("send")
+        dst_node = self._begin_send(dest, tag)
         yield from self.node.cpu.compute(
             self.world.network.send_overhead_work(self.node_id))
-        msg = Message(src=self.node_id, dst=dst_node, tag=tag, size=size,
-                      comm_id=self.comm.comm_id, src_rank=self.rank,
-                      payload=payload)
-        self.world.send_message(msg)
-        done = Event(self.env)
-        done.succeed(None)
-        return Request(self.env, done, kind="send")
+        self._inject(dst_node, size, tag, payload)
+        return Request(self.env, Timeout(self.env, 0), kind="send")
 
     def recv(self, source: int = ANY_SOURCE, *,
              tag: int = ANY_TAG) -> _t.Generator[Event, object, Message]:
         """Blocking receive; returns the matched message."""
-        req = self.irecv(source, tag=tag)
-        msg = yield from req.wait()
+        ev = self._post_recv(source, tag)
+        recorder = self.world.critpath
+        if recorder is None:
+            msg = yield ev
+        else:
+            start = self.env.now
+            msg = yield ev
+            recorder.record_wait(self.node_id, start, self.env.now,
+                                 _t.cast(Message, msg))
+        work = self.world.network.recv_overhead_work()
+        if work:
+            yield from self.node.cpu.compute(work)
         return _t.cast(Message, msg)
 
     def irecv(self, source: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive (posts immediately, no CPU cost yet)."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise MPIError(f"recv source {source} out of range")
-        self._count("recv")
-        ev = self.world.router.post_recv(self.node_id, self.comm.comm_id,
-                                         source, tag)
-        recorder = self.world.critpath
-        if recorder is None:
-            return Request(
-                self.env, ev, cpu=self.node.cpu,
-                completion_work=self.world.network.recv_overhead_work(),
-                kind="recv")
+        ev = self._post_recv(source, tag)
         return Request(self.env, ev, cpu=self.node.cpu,
                        completion_work=self.world.network.recv_overhead_work(),
-                       kind="recv", recorder=recorder, node_id=self.node_id)
+                       kind="recv", recorder=self.world.critpath,
+                       node_id=self.node_id)
 
     def sendrecv(self, dest: int, source: int, size: int, *,
                  recv_size: int | None = None, tag: int = 0,
                  payload: _t.Any = None) -> _t.Generator[Event, object, Message]:
         """Simultaneous exchange: post the receive, send, then complete."""
         del recv_size  # symmetry hint only; the sender's size governs
-        rreq = self.irecv(source, tag=tag)
-        yield from self.send(dest, size, tag=tag, payload=payload)
-        msg = yield from rreq.wait()
+        ev = self._post_recv(source, tag)
+        dst_node = self._begin_send(dest, tag)
+        yield from self.node.cpu.compute(
+            self.world.network.send_overhead_work(self.node_id))
+        self._inject(dst_node, size, tag, payload)
+        yield Timeout(self.env, 0)
+        recorder = self.world.critpath
+        if recorder is None:
+            msg = yield ev
+        else:
+            start = self.env.now
+            msg = yield ev
+            recorder.record_wait(self.node_id, start, self.env.now,
+                                 _t.cast(Message, msg))
+        work = self.world.network.recv_overhead_work()
+        if work:
+            yield from self.node.cpu.compute(work)
         return _t.cast(Message, msg)
+
+    def _begin_send(self, dest: int, tag: int) -> int:
+        """Validate and count one send; returns the destination node."""
+        self._validate_tag(tag)
+        dst_node = self.comm.node(dest)
+        self._count("send")
+        return dst_node
+
+    def _inject(self, dst_node: int, size: int, tag: int,
+                payload: _t.Any) -> None:
+        self.world.send_message(Message(
+            src=self.node_id, dst=dst_node, tag=tag, size=size,
+            comm_id=self.comm.comm_id, src_rank=self.rank, payload=payload))
+
+    def _post_recv(self, source: int, tag: int) -> Event:
+        """Validate, count and post one receive; returns its event."""
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise MPIError(f"recv source {source} out of range")
+        self._count("recv")
+        return self.world.router.post_recv(self.node_id, self.comm.comm_id,
+                                           source, tag)
 
     # -- collectives (dispatch into repro.mpi.collectives) ---------------------------
     def _collective(self, opname: str, algorithm: str | None,

@@ -73,20 +73,19 @@ class MessageRouter:
         """Post a receive; the event's value is the matched Message."""
         ev = Event(self.env)
         unexpected = self._unexpected[dst_node]
-        probe = PostedRecv(comm_id, src_rank, tag, ev)
+        # PostedRecv.matches, inlined: most receives find their message
+        # here, and then no PostedRecv is built at all.
         for i, msg in enumerate(unexpected):
-            if probe.matches(msg):
+            if (msg.comm_id == comm_id
+                    and (src_rank == ANY_SOURCE or msg.src_rank == src_rank)
+                    and (tag == ANY_TAG or msg.tag == tag)):
                 del unexpected[i]
                 ev.succeed(msg)
                 return ev
-        self._posted[dst_node].append(probe)
+        self._posted[dst_node].append(PostedRecv(comm_id, src_rank, tag, ev))
         return ev
 
     # -- introspection ---------------------------------------------------------------
-    def pending_counts(self, node: int) -> tuple[int, int]:
-        """(posted receives, unexpected messages) waiting at ``node``."""
-        return len(self._posted[node]), len(self._unexpected[node])
-
     def quiescent(self) -> bool:
         """True when no receive or message is parked anywhere."""
         return (all(not q for q in self._posted)

@@ -68,7 +68,3 @@ class Message:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"message size must be >= 0, got {self.size}")
-
-    def match_key(self) -> tuple[int, int, int]:
-        """Key the receive-matching engine uses: (comm, src_rank, tag)."""
-        return (self.comm_id, self.src_rank, self.tag)

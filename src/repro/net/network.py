@@ -32,7 +32,7 @@ from bisect import bisect_left
 
 from ..errors import ConfigError
 from ..kernel.node import Node
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from ..sim.rng import derive_seed
 from .loggp import LogGPParams
 from .message import Message
@@ -131,6 +131,9 @@ class Network:
                                 10_000_000, 100_000_000)
         self.latency_bucket_counts = [0] * (len(self._latency_bounds) + 1)
         self.latency_total_ns = 0
+        #: Event callbacks bound once, not once per message.
+        self._on_arrival_cb = self._on_arrival
+        self._on_handoff_cb = self._on_handoff
 
     # -- wiring ------------------------------------------------------------
     def on_deliver(self, callback: _t.Callable[[Message], None]) -> None:
@@ -222,8 +225,8 @@ class Network:
             self._channel_pending[key] = backlog
             if backlog > self.channel_backlog_peak:
                 self.channel_backlog_peak = backlog
-        ev = self.env.timeout(arrival - self.env.now, msg)
-        ev.callbacks.append(self._on_arrival)
+        Timeout(self.env, arrival - self.env.now, msg).callbacks.append(
+            self._on_arrival_cb)
 
     def _drop(self, msg: Message) -> None:
         self.messages_dropped += 1
@@ -238,8 +241,11 @@ class Network:
         if handoff_at <= self.env.now:
             self._handoff(msg)
         else:
-            ev = self.env.timeout(handoff_at - self.env.now, msg)
-            ev.callbacks.append(lambda e: self._handoff(e.value))
+            Timeout(self.env, handoff_at - self.env.now, msg).callbacks.append(
+                self._on_handoff_cb)
+
+    def _on_handoff(self, event) -> None:
+        self._handoff(event.value)
 
     def _handoff(self, msg: Message) -> None:
         msg.delivered_at = self.env.now

@@ -11,9 +11,17 @@ The contract has two views of the same stream:
   the ktau observer, which records every occurrence.
 * **aggregate view** — :meth:`NoiseSource.stolen_between` gives the
   total CPU time stolen in a window, and :meth:`NoiseSource.wall_time`
-  solves the fixed point *T = W + stolen(t, t+T)* to produce the wall
+  gives the least solution of *T = W + stolen(t, t+T)*: the wall
   clock time a compute phase of ``W`` ns of work takes when started at
   ``t``.  Used by sampled-fidelity simulation for scaling studies.
+
+``wall_time`` is the simulator's hottest noise query (one per compute
+phase), so it does not iterate on ``stolen_between``.  Each source
+caches its merged busy timeline in fixed-width blocks built lazily from
+:meth:`NoiseSource.busy_intervals`, and the query is one walk over
+those blocks that adds up idle gaps until they cover ``W``.  The
+answer is exact, so the simulated event schedule does not depend on
+how it is computed.
 
 Both views are **pure functions of the window** (randomized sources
 freeze their randomness per time chunk), so the two fidelity modes are
@@ -24,16 +32,22 @@ from __future__ import annotations
 
 import typing as _t
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 
 __all__ = ["NoiseEvent", "NoiseSource", "NullNoise", "merge_busy_time",
            "merged_intervals", "merge_interval_lists"]
 
-#: Safety valve for the wall-time fixed point (utilization < 1 means
-#: convergence in far fewer steps; hitting this indicates a model bug).
-_MAX_FIXED_POINT_ITERS = 10_000
+#: Busy-timeline blocks are at most 2**_MAX_BLOCK_SHIFT ns (about
+#: 4.2 ms) wide; a denser source uses narrower blocks holding about
+#: _EVENTS_PER_BLOCK events, so no query enumerates a long window of
+#: tiny events it never reaches.
+_MAX_BLOCK_SHIFT = 22
+_EVENTS_PER_BLOCK = 64
+#: Blocks one source keeps cached for :meth:`NoiseSource.wall_time`.
+_MAX_BLOCKS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +141,11 @@ class NoiseSource(ABC):
         if not name:
             raise ConfigError("noise source needs a non-empty name")
         self.name = name
+        #: Busy-timeline block cache for :meth:`wall_time`, keyed by
+        #: block index in insertion order (see :meth:`_busy_block`),
+        #: and the block width's log2, set on the first query.
+        self._blocks: dict[int, tuple[list[int], list[int]]] = {}
+        self._shift: int | None = None
 
     # -- event view --------------------------------------------------------
     @abstractmethod
@@ -179,49 +198,70 @@ class NoiseSource(ABC):
     def wall_time(self, start: int, work: int) -> int:
         """Wall-clock ns for ``work`` ns of CPU work begun at ``start``.
 
-        Solves the smallest ``T >= work`` with
-        ``T - stolen_between(start, start + T) == work`` by monotone
-        fixed-point iteration (exact with integer time; converges
-        because utilization < 1).
+        Returns the least ``T >= work`` with
+        ``T - stolen_between(start, start + T) == work``: the first
+        instant at which the CPU has been idle for ``work`` ns since
+        ``start``.  Found by one exact walk over the busy timeline
+        (see :meth:`_busy_block`): skip to the first busy interval
+        ending after ``start``, then add up the idle gaps between
+        intervals until they cover ``work``.
         """
         if work < 0:
             raise ValueError(f"work must be >= 0 ns, got {work}")
         if work == 0:
             # Zero work needs no CPU, so nothing can be stolen from it.
             return 0
-        # Fast path: direct iteration converges in a couple of steps when
-        # the window contains only short events.
-        t = work
-        for _ in range(8):
-            stolen = self.stolen_between(start, start + t)
-            new_t = work + stolen
-            if new_t == t:
-                return t
-            if new_t < t:  # pragma: no cover - monotonicity guard
-                raise SimulationError(f"noise fixed point regressed: {t} -> {new_t}")
-            t = new_t
-        # Slow path: the window start sits inside (or keeps hitting) long
-        # events, so direct iteration advances by ~`work` per step.  The
-        # idle time  idle(T) = T - stolen(start, start+T)  is monotone and
-        # advances by at most 1 ns per ns, so the exact fixed point is the
-        # minimal T with idle(T) == work: find it by doubling + bisection.
-        hi = t
-        for _ in range(_MAX_FIXED_POINT_ITERS):
-            if hi - self.stolen_between(start, start + hi) >= work:
-                break
-            hi *= 2
-        else:  # pragma: no cover - would need utilization >= 1
-            raise SimulationError(
-                f"noise wall_time did not converge (source={self.name!r}, "
-                f"utilization={self.utilization:.3f})")
-        lo = work  # idle(work) <= work with equality only if already done
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self.stolen_between(start, start + mid) >= work:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        shift = self._shift
+        if shift is None:
+            shift = self._shift = self._block_shift()
+        t = start
+        remaining = work
+        index = start >> shift
+        blocks = self._blocks
+        while True:
+            starts, ends = blocks.get(index) or self._busy_block(index, shift)
+            # Intervals ending at or before t are behind the walk; an
+            # interval with start <= t < end holds t inside it.
+            for i in range(bisect_right(ends, t), len(ends)):
+                gap = starts[i] - t
+                if gap > 0:
+                    if gap >= remaining:
+                        return t + remaining - start
+                    remaining -= gap
+                t = ends[i]
+            index += 1
+            gap = (index << shift) - t
+            if gap >= remaining:
+                return t + remaining - start
+            remaining -= gap
+            t = index << shift
+
+    def _block_shift(self) -> int:
+        """log2 of this source's block width (see :data:`_EVENTS_PER_BLOCK`)."""
+        rate = self.event_rate_hz
+        if rate <= 0:
+            return _MAX_BLOCK_SHIFT
+        width = int(_EVENTS_PER_BLOCK * 1e9 / rate)
+        return max(0, min(_MAX_BLOCK_SHIFT, width.bit_length() - 1))
+
+    def _busy_block(self, index: int, shift: int) -> tuple[list[int], list[int]]:
+        """Merged busy intervals of block ``index``, as (starts, ends).
+
+        Block ``k`` covers ``[k << shift, (k + 1) << shift)`` and is
+        built once from :meth:`busy_intervals`, so it is exactly the
+        source's busy set clipped to the block (an interval that
+        crosses a block edge is split there, which adds no idle time).
+        At most :data:`_MAX_BLOCKS` blocks are kept; the oldest goes
+        first, which suits a simulated clock that only moves forward.
+        """
+        lo = index << shift
+        intervals = self.busy_intervals(lo, lo + (1 << shift))
+        block = ([a for a, _ in intervals], [b for _, b in intervals])
+        blocks = self._blocks
+        if len(blocks) >= _MAX_BLOCKS:
+            del blocks[next(iter(blocks))]
+        blocks[index] = block
+        return block
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> dict[str, object]:

@@ -164,11 +164,11 @@ class _BulkNoise:
 
     ``period == 0`` models the quiet machine (every node NullNoise);
     otherwise node ``i`` runs ``PeriodicNoise(period, duration,
-    phase=phases[i])``.  :meth:`wall` reproduces
-    :meth:`repro.noise.NoiseSource.wall_time` exactly: the same
-    8-step fixed-point iteration, with the rare unconverged lanes
-    delegated to the scalar implementation (which finishes with
-    doubling + bisection).
+    phase=phases[i])``.  :meth:`wall` returns exactly what
+    :meth:`repro.noise.NoiseSource.wall_time` returns (the least fixed
+    point of ``T = work + stolen``), by 8 steps of vectorized
+    fixed-point iteration and then doubling + bisection on the rare
+    lanes still moving.
     """
 
     def __init__(self, period: int, duration: int,

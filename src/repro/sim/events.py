@@ -14,6 +14,7 @@ the standard semantics so the code reads familiarly.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush
 
 from ..errors import SimulationError
 
@@ -178,18 +179,33 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` nanoseconds after creation."""
+    """An event that fires ``delay`` nanoseconds after creation.
+
+    The most-allocated object in a run (every compute phase and message
+    hop makes one), so the constructor sets the :class:`Event` slots
+    itself and, while neither ``metrics`` nor ``det_check`` is on, pushes
+    the heap entry :meth:`Environment.schedule` would push without
+    calling it.  With either on it goes through ``schedule`` so
+    ``max_heap_depth`` and ``det_checksum`` stay exact.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: int, value: object = None) -> None:
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0 ns, got {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._processed = False
+        self._cancelled = False
+        self.delay = delay
+        if env._metrics or env._det_check:
+            env.schedule(self, delay=delay)
+        else:
+            heappush(env._queue,
+                     (env._now + delay, PRIORITY_NORMAL, next(env._seq), self))
 
 
 class _Condition(Event):

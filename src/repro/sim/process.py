@@ -23,7 +23,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulation process (and the event of its termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on")
+    __slots__ = ("name", "_generator", "_waiting_on", "_resume_cb")
 
     def __init__(self, env: "Environment",
                  generator: _t.Generator[Event, object, object],
@@ -34,13 +34,15 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Event | None = None
+        #: ``self._resume`` bound once, not once per wait.
+        self._resume_cb = self._resume
         env._live_processes += 1
         # Kick the generator off at the current simulation instant via an
         # initialisation event so spawning is itself deterministic.
         init = Event(env)
         init._ok = True
         init._value = None
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._resume_cb)
         env.schedule(init, delay=0, priority=PRIORITY_URGENT)
 
     # -- public ------------------------------------------------------------
@@ -61,7 +63,7 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume_cb)
             except ValueError:  # pragma: no cover - callback already detached
                 pass
         self._waiting_on = None
@@ -71,7 +73,7 @@ class Process(Event):
         kick = Event(self.env)
         kick._ok = False
         kick._value = exc
-        kick.callbacks.append(self._resume)
+        kick.callbacks.append(self._resume_cb)
         self.env.schedule(kick, delay=0, priority=PRIORITY_URGENT)
 
     # -- engine ------------------------------------------------------------
@@ -79,6 +81,7 @@ class Process(Event):
         """Advance the generator with the fired event's value."""
         self._waiting_on = None
         gen = self._generator
+        env = self.env
         while True:
             try:
                 if trigger._ok:
@@ -86,11 +89,11 @@ class Process(Event):
                 else:
                     target = gen.throw(_t.cast(BaseException, trigger._value))
             except StopIteration as stop:
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 # A crashing process fails its termination event; if nobody
                 # is waiting on it, re-raise so bugs don't vanish silently.
                 if self.callbacks:
@@ -99,28 +102,31 @@ class Process(Event):
                 self.fail(exc)
                 raise
 
-            if not isinstance(target, Event):
-                err = SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "must yield Event objects")
-                self.env._live_processes -= 1
-                self.fail(err)
-                raise err
-            if target.env is not self.env:
-                err = SimulationError(
-                    f"process {self.name!r} yielded an event from a different environment")
-                self.env._live_processes -= 1
-                self.fail(err)
-                raise err
+            if not isinstance(target, Event) or target.env is not env:
+                self._reject(target)
 
-            if target.callbacks is None:
+            callbacks = target.callbacks
+            if callbacks is None:
                 # Already processed: resume immediately with its value in
                 # this same call frame (no extra queue round-trip).
                 trigger = target
                 continue
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)
             return
+
+    def _reject(self, target: object) -> _t.NoReturn:
+        """Fail the process for yielding something it cannot wait on."""
+        if isinstance(target, Event):
+            err = SimulationError(
+                f"process {self.name!r} yielded an event from a different environment")
+        else:
+            err = SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes "
+                "must yield Event objects")
+        self.env._live_processes -= 1
+        self.fail(err)
+        raise err
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

@@ -119,6 +119,22 @@ def test_parse_faults_rejects_junk():
         parse_faults("drop=lots")
 
 
+@pytest.mark.parametrize("spec", [
+    "drop=0.1,drop=0.2", "dup=0.1,dup=0.1", "timeout=1ms,timeout=2ms",
+    "retries=3,retries=4", "backoff=2,backoff=3", "slow=0.1,slow=0.2x0.5",
+    "drop=0.1,slow=0.1, drop=0.1"])
+def test_parse_faults_rejects_repeated_key(spec):
+    with pytest.raises(ConfigError, match="more than once"):
+        parse_faults(spec)
+
+
+def test_parse_faults_crash_and_one_off_repeat():
+    plan = parse_faults("crash=1@1ms,one_off=0:1ms:2us,crash=2,"
+                        "one_off=3:5ms:1ms")
+    assert plan.crashes == ((1, 1_000_000), (2, 0))
+    assert plan.one_off == ((0, 1_000_000, 2_000), (3, 5_000_000, 1_000_000))
+
+
 # -- zero-fault byte-identity (the load-bearing property) ----------------------
 
 def _strip_wallclock(result):

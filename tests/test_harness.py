@@ -68,3 +68,20 @@ def test_render_summary_and_markdown():
     assert "## E1 — one" in md
     assert "- [x] c" in md
     assert "- [ ] c" in md
+
+
+def test_set_execution_policy_keeps_empty_result_cache(tmp_path):
+    from repro.harness import execution_policy, set_execution_policy
+    from repro.parallel import ResultCache
+
+    policy = execution_policy()
+    saved = (policy.workers, policy.cache)
+    try:
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 0  # falsy, yet a real cache
+        assert set_execution_policy(cache=cache).cache is cache
+        assert set_execution_policy(cache="").cache is None
+        set_execution_policy(cache=str(tmp_path))
+        assert set_execution_policy().cache == str(tmp_path)
+    finally:
+        policy.workers, policy.cache = saved
