@@ -12,7 +12,6 @@ import typing as _t
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 __all__ = ["Spectrum", "SpectralPeak", "periodogram", "find_peaks",
            "dominant_frequencies", "lomb_scargle"]
@@ -25,11 +24,6 @@ class Spectrum:
     frequencies_hz: np.ndarray
     power: np.ndarray
     sample_rate_hz: float
-
-    def power_at(self, freq_hz: float) -> float:
-        """Power of the bin nearest ``freq_hz``."""
-        idx = int(np.argmin(np.abs(self.frequencies_hz - freq_hz)))
-        return float(self.power[idx])
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +51,9 @@ def periodogram(series: _t.Sequence[float] | np.ndarray,
         raise ValueError(f"need at least 8 samples for a spectrum, got {arr.size}")
     if sample_interval_ns <= 0:
         raise ValueError("sample_interval_ns must be > 0")
+    from scipy import signal  # deferred: keeps package import scipy-free
     fs = 1e9 / sample_interval_ns
-    freqs, power = _signal.periodogram(arr, fs=fs, detrend="constant",
+    freqs, power = signal.periodogram(arr, fs=fs, detrend="constant",
                                        scaling="spectrum")
     # Drop the DC bin: detrended anyway, and it swamps peak pickers.
     return Spectrum(frequencies_hz=freqs[1:], power=power[1:],
@@ -77,7 +72,8 @@ def find_peaks(spectrum: Spectrum, *, top: int = 8,
     power = spectrum.power
     if power.size == 0 or float(power.max()) == 0.0:
         return []
-    idx, props = _signal.find_peaks(
+    from scipy import signal
+    idx, props = signal.find_peaks(
         power, prominence=min_prominence_ratio * float(power.max()))
     peaks = [SpectralPeak(float(spectrum.frequencies_hz[i]), float(power[i]),
                           float(p))
@@ -121,7 +117,8 @@ def lomb_scargle(times_ns: _t.Sequence[int] | np.ndarray,
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     if (freqs_hz <= 0).any():
         raise ValueError("analysis frequencies must be > 0")
-    power = _signal.lombscargle(t, y, 2 * np.pi * freqs_hz, normalize=True)
+    from scipy import signal
+    power = signal.lombscargle(t, y, 2 * np.pi * freqs_hz, normalize=True)
     sample_rate = (t.size - 1) / span
     return Spectrum(frequencies_hz=freqs_hz, power=power,
                     sample_rate_hz=sample_rate)

@@ -127,10 +127,6 @@ class ExperimentConfig:
         """The same experiment with no injected noise."""
         return replace(self, noise_pattern="quiet")
 
-    def reliable_twin(self) -> "ExperimentConfig":
-        """The same experiment with no injected faults."""
-        return replace(self, faults=None)
-
 
 def run_experiment(config: ExperimentConfig,
                    *, return_tracer: bool = False

@@ -207,11 +207,6 @@ class ProjectIndex:
                 return self._canonical(via)
         return dotted if head else None
 
-    def lookup_function(self, qual: str | None) -> ast.AST | None:
-        if qual is None:
-            return None
-        return self.functions.get(qual)
-
     def module_of_symbol(self, qual: str) -> str | None:
         """Dotted module name that defines ``qual`` (function, class,
         or module global), or ``None``."""

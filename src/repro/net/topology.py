@@ -7,10 +7,10 @@ shapes:
 * :class:`SwitchTopology` — one big crossbar: every pair is one hop.
 * :class:`TorusTopology` — k-ary n-dimensional torus (Red Storm was a
   3D mesh/torus); extra latency grows with Manhattan hop distance.
-* :class:`GraphTopology` — any :mod:`networkx` graph, for irregular
-  or measured fabrics; shortest-path hop counts are cached.
+* :class:`GraphTopology` — any node → neighbours mapping, for
+  irregular or measured fabrics; shortest-path hop counts are cached.
 * :class:`FatTreeTopology` — the two-level folded-Clos approximation
-  (a :class:`GraphTopology` with closed-form hop counts).
+  with closed-form hop counts.
 * :class:`HierarchicalTopology` — a :class:`MachineShape`-driven
   hierarchy (cores / nodes / switches / groups) with per-level extra
   latency and optional per-level per-byte cost.  This is the shape
@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import typing as _t
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ConfigError
@@ -253,29 +252,53 @@ class TorusTopology(Topology):
 
 
 class GraphTopology(Topology):
-    """Arbitrary fabric described by a networkx graph.
+    """Arbitrary fabric given as an adjacency mapping.
 
-    Nodes must be labelled ``0 .. n-1``.  Hop counts are unweighted
-    shortest paths, cached per source.
+    ``graph`` maps each node to an iterable of its neighbours: a dict
+    of lists, or any graph object that iterates over its nodes and
+    indexes to their neighbours.  Links are undirected, so listing an
+    edge under either end suffices.  Nodes must be labelled
+    ``0 .. n-1``.  Hop counts are unweighted shortest paths
+    (breadth-first), cached per source.
     """
 
-    def __init__(self, graph: nx.Graph, hop_latency_ns: int = 50) -> None:
-        n = graph.number_of_nodes()
-        if set(graph.nodes) != set(range(n)):
+    def __init__(self, graph: _t.Mapping[int, _t.Iterable[int]],
+                 hop_latency_ns: int = 50) -> None:
+        adj: dict[int, set[int]] = {node: set() for node in graph}
+        for node in graph:
+            for nbr in graph[node]:
+                adj[node].add(nbr)
+                adj.setdefault(nbr, set()).add(node)
+        n = len(adj)
+        if set(adj) != set(range(n)):
             raise ConfigError("graph nodes must be labelled 0..n-1")
-        if n > 1 and not nx.is_connected(graph):
-            raise ConfigError("topology graph must be connected")
         super().__init__(n, hop_latency_ns)
-        self.graph = graph
-        self._lengths_from = lru_cache(maxsize=None)(
-            lambda src: nx.single_source_shortest_path_length(self.graph, src))
+        self._adj = [sorted(adj[node]) for node in range(n)]
+        self._dist: dict[int, list[int]] = {}
+        if -1 in self._distances_from(0):
+            raise ConfigError("topology graph must be connected")
+
+    def _distances_from(self, src: int) -> list[int]:
+        """Hop count from ``src`` to every node (-1 if unreachable)."""
+        dist = self._dist.get(src)
+        if dist is None:
+            dist = [-1] * self.n_nodes
+            dist[src] = 0
+            queue = deque((src,))
+            while queue:
+                node = queue.popleft()
+                d = dist[node] + 1
+                for nbr in self._adj[node]:
+                    if dist[nbr] < 0:
+                        dist[nbr] = d
+                        queue.append(nbr)
+            self._dist[src] = dist
+        return dist
 
     def hops(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if a == b:
-            return 0
-        return self._lengths_from(a)[b]
+        return self._distances_from(a)[b]
 
     @classmethod
     def fat_tree_like(cls, n_nodes: int, radix: int = 8,
@@ -284,47 +307,28 @@ class GraphTopology(Topology):
 
         Leaf switches of ``radix`` nodes each, all leaf switches joined
         through one core: intra-leaf pairs are 2 hops, inter-leaf 4.
-        Switch vertices are modelled implicitly by a small helper graph.
         """
         return FatTreeTopology(n_nodes, radix=radix,
                                hop_latency_ns=hop_latency_ns)
 
 
-class FatTreeTopology(GraphTopology):
+class FatTreeTopology(Topology):
     """The two-level folded-Clos fabric with closed-form pair costs.
 
-    Identical connectivity to the graph :meth:`GraphTopology.
-    fat_tree_like` builds (and it keeps the helper graph for
-    inspection), but ``hops`` / ``extra_cost_vec`` are O(1) closed
-    forms — intra-leaf pairs are 2 hops, inter-leaf 4 — so large
-    machines never run a graph search.
+    Nodes hang off leaf switches of ``radix`` ports each, and every
+    leaf switch links to one core switch.  ``hops`` and
+    ``extra_cost_vec`` are O(1) closed forms over that wiring (a pair
+    on one leaf is 2 hops apart, across the core 4), so large machines
+    never run a graph search.
     """
 
     def __init__(self, n_nodes: int, radix: int = 8,
                  hop_latency_ns: int = 50) -> None:
         if n_nodes <= 0 or radix <= 0:
             raise ConfigError("n_nodes and radix must be > 0")
-        g = nx.Graph()
-        g.add_nodes_from(range(n_nodes))
-        n_leaves = (n_nodes + radix - 1) // radix
-        # Helper switch vertices live at ids >= n_nodes and are removed
-        # from hop counts implicitly by path length through them.
-        core = n_nodes + n_leaves
-        for leaf in range(n_leaves):
-            sw = n_nodes + leaf
-            g.add_edge(sw, core)
-            for port in range(radix):
-                node = leaf * radix + port
-                if node < n_nodes:
-                    g.add_edge(node, sw)
-        # GraphTopology.__init__ would reject the helper vertices'
-        # labels, so initialize the base Topology directly.
-        Topology.__init__(self, n_nodes, hop_latency_ns)
-        self.graph = g
-        self._lengths_from = lru_cache(maxsize=None)(
-            lambda src: nx.single_source_shortest_path_length(g, src))
+        super().__init__(n_nodes, hop_latency_ns)
         self.radix = int(radix)
-        self.n_leaves = n_leaves
+        self.n_leaves = (n_nodes + radix - 1) // radix
 
     def hops(self, a: int, b: int) -> int:
         self._check(a)

@@ -1,11 +1,14 @@
 """Tests for the network substrate: LogGP, topologies, NIC, transport."""
 
-import networkx as nx
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.kernel import KernelConfig, NICCostModel, Node
 from repro.net import (
+    FatTreeTopology,
     GraphTopology,
     LogGPParams,
     Message,
@@ -84,21 +87,70 @@ def test_torus_invalid_dims():
 
 
 def test_graph_topology_path_graph():
-    g = nx.path_graph(5)
-    t = GraphTopology(g)
+    t = GraphTopology({0: [1], 1: [0, 2], 2: [1, 3], 3: [2, 4], 4: [3]})
     assert t.hops(0, 4) == 4
     assert t.hops(2, 2) == 0
+    assert t.diameter_hops == 4
+
+
+def test_graph_topology_edges_are_undirected():
+    # Each link listed under one end only still connects both ways.
+    t = GraphTopology({0: [1], 1: [2], 2: [], 3: [2]})
+    assert t.hops(3, 0) == 3
+    assert t.hops(0, 3) == 3
 
 
 def test_graph_topology_validation():
-    g = nx.Graph()
-    g.add_nodes_from([0, 1, 3])  # gap in labels
     with pytest.raises(ConfigError):
-        GraphTopology(g)
-    g2 = nx.Graph()
-    g2.add_nodes_from([0, 1])
+        GraphTopology({0: [1], 1: [0], 3: []})  # gap in labels
     with pytest.raises(ConfigError):
-        GraphTopology(g2)  # disconnected
+        GraphTopology({0: [], 1: []})  # disconnected
+    with pytest.raises(ConfigError):
+        GraphTopology({})
+
+
+def test_graph_topology_accepts_networkx_graph():
+    nx = pytest.importorskip("networkx")
+    g = nx.random_regular_graph(3, 12, seed=5)
+    adj = {node: list(g[node]) for node in g}
+    from_nx, from_dict = GraphTopology(g), GraphTopology(adj)
+    for a, b in itertools.product(range(12), repeat=2):
+        assert from_nx.hops(a, b) == from_dict.hops(a, b)
+        assert from_nx.hops(a, b) == nx.shortest_path_length(g, a, b)
+
+
+def _fat_tree_adjacency(n_nodes, radix):
+    """Explicit leaf/core wiring: leaf switch ``n_nodes + k`` serves
+    nodes ``k*radix ..``, and the core ``n_nodes + n_leaves`` joins the
+    leaves."""
+    n_leaves = (n_nodes + radix - 1) // radix
+    core = n_nodes + n_leaves
+    adj = {v: [] for v in range(core + 1)}
+    for node in range(n_nodes):
+        leaf = n_nodes + node // radix
+        adj[node].append(leaf)
+        adj[leaf].append(node)
+    for leaf in range(n_nodes, core):
+        adj[leaf].append(core)
+        adj[core].append(leaf)
+    return adj
+
+
+@pytest.mark.parametrize("radix", range(1, 10))
+def test_fat_tree_closed_form_matches_bfs(radix):
+    for n_nodes in range(1, 71):
+        t = FatTreeTopology(n_nodes, radix=radix, hop_latency_ns=50)
+        bfs = GraphTopology(_fat_tree_adjacency(n_nodes, radix))
+        expect = np.array([[bfs.hops(a, b) for b in range(n_nodes)]
+                           for a in range(n_nodes)])
+        got = np.array([[t.hops(a, b) for b in range(n_nodes)]
+                        for a in range(n_nodes)])
+        np.testing.assert_array_equal(got, expect)
+        src, dst = (x.ravel() for x in np.indices((n_nodes, n_nodes)))
+        np.testing.assert_array_equal(
+            t.extra_cost_vec(src, dst),
+            50 * np.maximum(0, expect.ravel() - 1))
+        assert t.diameter_hops == expect.max()
 
 
 def test_fat_tree_like_hop_structure():
