@@ -126,13 +126,17 @@ class CollectiveBenchmark:
         the engine; the default ``"strict"`` preserves byte-identity by
         falling back to the generator on unknowable arrival ties, while
         ``"deterministic"`` keeps extreme-scale runs on the fast path
-        (see :func:`repro.mpi.collectives.bulk.run_bulk`).
+        (see :func:`repro.mpi.collectives.bulk.run_bulk`).  Every
+        fallback after a divergence emits one ``bulk.fallback`` event on
+        :mod:`repro.obs.oplog`; ``stats_out`` is filled only when the
+        bulk engine finished.
         """
         if mode not in ("auto", "bulk", "generator"):
             raise ConfigError(
                 f"mode must be auto|bulk|generator, got {mode!r}")
         if mode != "generator":
-            from ..mpi.collectives.bulk import run_bulk, unsupported_reason
+            from ..mpi.collectives.bulk import (_resolved_algorithm,
+                                                run_bulk, unsupported_reason)
             from ..sim.bulk import BulkDivergence
             reason = unsupported_reason(config, self)
             if reason is None and (mode == "bulk"
@@ -142,11 +146,17 @@ class CollectiveBenchmark:
                                                  tie_break=tie_break,
                                                  stats_out=stats_out)
                     return result
-                except BulkDivergence:
+                except BulkDivergence as exc:
                     if mode == "bulk":
                         raise
                     # A coincidental arrival tie the static gates could
                     # not rule out; the generator path always works.
+                    from ..obs import oplog
+                    oplog.log("bulk.fallback", ranks=config.n_nodes,
+                              operation=self.operation,
+                              algorithm=_resolved_algorithm(
+                                  config, self.operation, self.algorithm),
+                              message=str(exc))
             if mode == "bulk":
                 raise ConfigError(f"bulk fast path unavailable: {reason}")
         from ..core.machine import Machine

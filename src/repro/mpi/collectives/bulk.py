@@ -311,7 +311,7 @@ def unsupported_reason(config: "MachineConfig",
             or _obs.det_check_enabled():
         return "telemetry (metrics/trace/det_check) needs the DES"
     if config.injection is not None \
-            and config.injection.periodic_profile(config.n_nodes) is None:
+            and config.injection.periodic_shape() is None:
         return "injected noise is not strictly periodic"
     return None
 

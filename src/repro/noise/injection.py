@@ -94,6 +94,23 @@ class InjectionPlan:
             raise ConfigError(f"n_nodes must be > 0, got {n_nodes}")
         return [self.source_for(i, n_nodes) for i in range(n_nodes)]
 
+    def periodic_shape(self) -> tuple[int, int] | None:
+        """``(period, duration)`` of the plan's strictly-periodic form.
+
+        ``(0, 0)`` for a quiet (null) pattern; ``None`` for stochastic,
+        burst, or custom-factory patterns.  Parses one probe source and
+        draws no per-node phase, so it is the cheap question "could
+        :meth:`periodic_profile` succeed" that gates ask.
+        """
+        if callable(self.pattern):
+            return None
+        probe = parse_pattern(self.pattern, seed=node_seed(self.seed, 0))
+        if isinstance(probe, NullNoise):
+            return (0, 0)
+        if not isinstance(probe, PeriodicNoise):
+            return None
+        return (probe.period, probe.duration)
+
     def periodic_profile(self, n_nodes: int):
         """The plan's strictly-periodic form, when it has one.
 
@@ -102,24 +119,23 @@ class InjectionPlan:
         exact streams :meth:`source_for` uses — when every node's
         source is a :class:`PeriodicNoise`; ``(0, 0, None)`` for a
         quiet (null) pattern; ``None`` for stochastic, burst, or
-        custom-factory patterns.  This is the contract the bulk-rank
-        fast path (:mod:`repro.sim.bulk`) vectorizes over.
+        custom-factory patterns (see :meth:`periodic_shape`).  This is
+        the contract the bulk-rank fast path (:mod:`repro.sim.bulk`)
+        vectorizes over.
         """
         if n_nodes <= 0:
             raise ConfigError(f"n_nodes must be > 0, got {n_nodes}")
-        if callable(self.pattern):
+        shape = self.periodic_shape()
+        if shape is None:
             return None
-        probe = parse_pattern(self.pattern, seed=node_seed(self.seed, 0))
-        if isinstance(probe, NullNoise):
+        period, duration = shape
+        if period == 0:
             return (0, 0, None)
-        if not isinstance(probe, PeriodicNoise):
-            return None
         import numpy as np
         phases = np.fromiter(
-            (self._phase_for(i, n_nodes, probe.period)
-             for i in range(n_nodes)),
+            (self._phase_for(i, n_nodes, period) for i in range(n_nodes)),
             dtype=np.int64, count=n_nodes)
-        return (probe.period, probe.duration, phases)
+        return (period, duration, phases)
 
     # -- internals -------------------------------------------------------------
     def _phase_for(self, node_id: int, n_nodes: int, period: int) -> int:

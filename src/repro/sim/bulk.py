@@ -60,6 +60,37 @@ _MAX_FIXPOINT = 32
 _BIG = 1 << 40
 
 
+#: Sentinel above every clock: "no booked successor".
+_NEVER = np.iinfo(np.int64).max
+
+#: :meth:`BulkEngine._slots_out_of_order` failures, by check order.
+_OUT_OF_ORDER_ERRORS = (
+    "three-way simultaneous arrival at one rank; the DES tie-break is "
+    "only reproducible on the generator path",
+    "consequential simultaneous arrivals at one rank with no earlier-send "
+    "order to break the tie; the per-rank generator path reproduces the "
+    "DES order",
+    "receive-NIC slot collision behind a tied arrival; rerun with the "
+    "per-rank generator path",
+    "arrival ties a slot evicted from the rank's history; rerun with the "
+    "per-rank generator path",
+    "arrival reordered past the rank's retained slot history; rerun with "
+    "the per-rank generator path",
+    "receive-NIC slot collision between reordered arrivals; rerun with "
+    "the per-rank generator path",
+)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by one sort and a neighbour mask (numpy's
+    hash-based unique is many times slower on large int64 arrays)."""
+    s = np.sort(a)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 class BulkDivergence(SimulationError):
     """The bulk path's ordering assumptions broke for this workload.
 
@@ -310,16 +341,17 @@ class BulkEngine:
         self.rx_free = np.zeros(n_ranks, dtype=np.int64)
         #: Latest (time-max) booked arrival per rank.
         self.rx_last = np.full(n_ranks, -1, dtype=np.int64)
-        #: Recent receive slots per rank (circular, booking order):
-        #: arrival and slot start.  Empty entries read as an arrival of
-        #: -1 with slot end 0 — exactly the NIC's initial free time —
-        #: so they act as the "no predecessor yet" boundary.
-        self._hist_arr = np.full((n_ranks, _HISTORY), -1, dtype=np.int64)
-        self._hist_start = np.full((n_ranks, _HISTORY), -params.g,
-                                   dtype=np.int64)
-        self._hist_resume = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
-        self._hist_ts = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
-        self._hist_sstart = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
+        #: Recent receive slots per rank (circular, booking order), one
+        #: (_HISTORY, P) plane per field: arrival, slot start, resume,
+        #: send instant, sender's pre-overhead clock.  Slot-major, so a
+        #: round booking one slot on many ranks writes near-contiguous
+        #: memory.  Empty entries read as an arrival of -1 with slot end
+        #: 0 — exactly the NIC's initial free time — so they act as the
+        #: "no predecessor yet" boundary.
+        self._hist = [np.full((_HISTORY, n_ranks), fill, dtype=np.int64)
+                      for fill in (-1, -params.g, 0, 0, 0)]
+        (self._hist_arr, self._hist_start, self._hist_resume,
+         self._hist_ts, self._hist_sstart) = self._hist
         self._hist_cur = np.zeros(n_ranks, dtype=np.intp)
         #: Channel FIFO clearance, keyed by compacted edge index.
         self._edge_keys: np.ndarray | None = None
@@ -340,7 +372,7 @@ class BulkEngine:
         table, and previously compiled rounds rebind lazily.
         """
         keys = [r.senders * self.P + r.dst for r in rounds]
-        all_keys = (np.unique(np.concatenate(keys)) if keys
+        all_keys = (_sorted_unique(np.concatenate(keys)) if keys
                     else np.empty(0, dtype=np.int64))
         if self._edge_keys is None:
             self._edge_keys = all_keys
@@ -348,7 +380,7 @@ class BulkEngine:
         elif len(np.setdiff1d(all_keys, self._edge_keys, assume_unique=True)):
             # Merge newly seen edges, carrying existing clearances over.
             # Slot positions shift, so older compiled rounds must rebind.
-            merged = np.unique(np.concatenate([self._edge_keys, all_keys]))
+            merged = _sorted_unique(np.concatenate([self._edge_keys, all_keys]))
             chan = np.full(len(merged), -1, dtype=np.int64)
             chan[np.searchsorted(merged, self._edge_keys)] = self._chan
             self._edge_keys = merged
@@ -356,7 +388,9 @@ class BulkEngine:
             self._edge_version += 1
         compiled = []
         for r, key in zip(rounds, keys):
-            if len(np.unique(r.dst)) != len(r.dst):
+            order = np.argsort(r.dst, kind="stable")
+            d_sorted = r.dst[order]
+            if (d_sorted[1:] == d_sorted[:-1]).any():
                 raise SimulationError(
                     "bulk round has multiple messages to one destination")
             compiled.append(_CompiledRound(
@@ -366,7 +400,7 @@ class BulkEngine:
                 version=self._edge_version,
                 wire_const=self.params.wire_time(r.size, 0),
                 extra=self.topology.extra_cost_vec(r.senders, r.dst, r.size),
-                order=np.argsort(r.dst, kind="stable")))
+                order=order))
         return compiled
 
     # -- execution ----------------------------------------------------------
@@ -447,10 +481,9 @@ class BulkEngine:
                        sstart_m[io])
             self.rx_last[rio] = arr[io]
             self.rx_free[rio] = rx_start[io] + g
-            for i in np.nonzero(~in_order)[0]:
-                rx_start[i] = self._slot_out_of_order(
-                    int(recvers[i]), int(arr[i]), int(ts_m[i]),
-                    int(sstart_m[i]))
+            ooo = np.nonzero(~in_order)[0]
+            rx_start[ooo] = self._slots_out_of_order(
+                recvers[ooo], arr[ooo], ts_m[ooo], sstart_m[ooo])
         # Handoff == rx_start (no host NIC processing on the machines
         # the bulk path admits); the receiver resumes at
         # max(own clock, handoff) — the in-frame resume rule — then
@@ -468,28 +501,16 @@ class BulkEngine:
         """Record slots in the per-rank circular history (ranks are
         unique within a round, so the fancy writes never collide)."""
         cur = self._hist_cur[ranks]
-        self._hist_arr[ranks, cur] = arr
-        self._hist_start[ranks, cur] = rx_start
-        self._hist_resume[ranks, cur] = resume
-        self._hist_ts[ranks, cur] = ts
-        self._hist_sstart[ranks, cur] = sstart
+        flat = cur * self.P + ranks
+        for plane, v in zip(self._hist, (arr, rx_start, resume, ts, sstart)):
+            plane.reshape(-1)[flat] = v
         self._hist_cur[ranks] = (cur + 1) % _HISTORY
 
-    def _book_one(self, dd: int, a: int, rx_start: int, resume: int,
-                  ts: int, sstart: int) -> None:
-        cur = int(self._hist_cur[dd])
-        self._hist_arr[dd, cur] = a
-        self._hist_start[dd, cur] = rx_start
-        self._hist_resume[dd, cur] = resume
-        self._hist_ts[dd, cur] = ts
-        self._hist_sstart[dd, cur] = sstart
-        self._hist_cur[dd] = (cur + 1) % _HISTORY
+    def _slots_out_of_order(self, dd: np.ndarray, a: np.ndarray,
+                            ts: np.ndarray, sstart: np.ndarray) -> np.ndarray:
+        """DES-exact rx slots for arrivals at or before ``rx_last[dd]``.
 
-    def _slot_out_of_order(self, dd: int, a: int, ts: int,
-                           sstart: int) -> int:
-        """DES-exact rx slot for an arrival at or before ``rx_last[dd]``.
-
-        In global time order the message slots between a predecessor
+        In global time order each message slots between a predecessor
         and a successor that the engine has already booked.  Its slot
         start is ``max(a, predecessor end)`` — bit-equal to what the
         DES computed when it served this arrival — *provided* inserting
@@ -508,68 +529,67 @@ class BulkEngine:
         consequential tie arrives too late to fix (the partner's resume
         already propagated), and an equal-instant consequential tie is
         unknowable; both raise.
-        """
-        ha = self._hist_arr[dd]
-        hs = self._hist_start[dd]
-        g = self.params.g
-        tie = np.nonzero(ha == a)[0]
-        if len(tie) > 1:
-            raise BulkDivergence(
-                "three-way simultaneous arrival at one rank; the DES "
-                "tie-break is only reproducible on the generator path")
-        if len(tie) == 1:
-            j = int(tie[0])
-            s1 = int(hs[j])
-            r1 = int(self._hist_resume[dd, j])
-            ts1 = int(self._hist_ts[dd, j])
-            sst1 = int(self._hist_sstart[dd, j])
-            t_now = int(self.t[dd])
-            # Benign iff swapping the two slots changes neither resume:
-            # the partner's (r1) and this rank's clock (t_now) must both
-            # already sit at/after the later slot s1 + g.
-            benign = g == 0 or (r1 >= s1 + g and t_now >= s1 + g)
-            # DES order for equal arrivals = arrival-event creation
-            # order: the send instants, or — when those also tie — the
-            # creation instants of the send-overhead compute events
-            # (each sender's pre-overhead clock).
-            des_first = ts1 < ts or (ts1 == ts and sst1 < sstart)
-            if not (benign or des_first):
-                raise BulkDivergence(
-                    "consequential simultaneous arrivals at one rank "
-                    "with no earlier-send order to break the tie; the "
-                    "per-rank generator path reproduces the DES order")
-            handoff = s1 + g
-            succ = ha > a
-            if succ.any() and handoff + g > int(ha[succ].min()):
-                raise BulkDivergence(
-                    "receive-NIC slot collision behind a tied arrival; "
-                    "rerun with the per-rank generator path")
-            if a == self.rx_last[dd]:
-                # The partner held the latest slot; this one now does.
-                self.rx_free[dd] = max(int(self.rx_free[dd]), handoff + g)
-            self._book_one(dd, a, handoff, max(t_now, handoff), ts, sstart)
-            return handoff
 
-        if a == self.rx_last[dd]:
-            raise BulkDivergence(
-                "arrival ties a slot evicted from the rank's history; "
-                "rerun with the per-rank generator path")
-        pred = ha < a
+        The receivers ``dd`` are distinct (one message per destination
+        per round), so each lane reads and writes only its own rank's
+        history and all lanes are settled at once.  If any lane
+        cannot be reconciled, nothing is booked and the first such lane
+        in round order raises :class:`BulkDivergence`.
+        """
+        g = self.params.g
+        ha = self._hist_arr[:, dd].T
+        hs = self._hist_start[:, dd].T
+        col = a[:, None]
+        rx_last = self.rx_last[dd]
+        t_now = self.t[dd]
+        tie = ha == col
+        n_tie = tie.sum(axis=1)
+        tied = n_tie == 1
+        untied = n_tie == 0
+        succ = ha > col
+        succ_min = np.where(succ, ha, _NEVER).min(axis=1)
+
+        # A tied lane takes the slot right behind its partner j.  Benign
+        # iff swapping the two slots changes neither resume: the
+        # partner's (r1) and this rank's clock (t_now) must both already
+        # sit at/after the later slot s1 + g.  DES order for equal
+        # arrivals = arrival-event creation order: the send instants,
+        # or — when those also tie — the creation instants of the
+        # send-overhead compute events (each sender's pre-overhead
+        # clock).
+        j = tie.argmax(axis=1)
+        s1 = self._hist_start[j, dd]
+        r1 = self._hist_resume[j, dd]
+        ts1 = self._hist_ts[j, dd]
+        sst1 = self._hist_sstart[j, dd]
+        benign = (g == 0) | ((r1 >= s1 + g) & (t_now >= s1 + g))
+        des_first = (ts1 < ts) | ((ts1 == ts) & (sst1 < sstart))
+        tie_handoff = s1 + g
+
+        # An untied lane slots between its predecessor and successor.
+        pred = ha < col
         real = ha >= 0
-        if real.all() and not (real & pred).any():
-            raise BulkDivergence(
-                "arrival reordered past the rank's retained slot "
-                "history; rerun with the per-rank generator path")
-        pred_end = int(hs[pred].max()) + g
-        succ = ha > a
-        succ_arr = int(ha[succ].min()) if succ.any() else int(self.rx_last[dd])
-        handoff = max(a, pred_end)
-        if handoff + g > succ_arr:
-            raise BulkDivergence(
-                "receive-NIC slot collision between reordered arrivals; "
-                "rerun with the per-rank generator path")
-        self._book_one(dd, a, handoff, max(int(self.t[dd]), handoff), ts,
-                       sstart)
+        pred_end = np.where(pred, hs, -g).max(axis=1) + g
+        succ_arr = np.where(succ.any(axis=1), succ_min, rx_last)
+        free_handoff = np.maximum(a, pred_end)
+
+        err = np.select(
+            [n_tie > 1,
+             tied & ~(benign | des_first),
+             tied & (tie_handoff + g > succ_min),
+             untied & (a == rx_last),
+             untied & real.all(axis=1) & ~(real & pred).any(axis=1),
+             untied & (free_handoff + g > succ_arr)],
+            [1, 2, 3, 4, 5, 6], 0)
+        bad = np.flatnonzero(err)
+        if len(bad):
+            raise BulkDivergence(_OUT_OF_ORDER_ERRORS[err[bad[0]] - 1])
+        handoff = np.where(tied, tie_handoff, free_handoff)
+        # A tied partner that held the latest slot hands it to this lane.
+        last = tied & (a == rx_last)
+        self.rx_free[dd[last]] = np.maximum(self.rx_free[dd[last]],
+                                            handoff[last] + g)
+        self._book(dd, a, handoff, np.maximum(t_now, handoff), ts, sstart)
         return handoff
 
     # -- repetition-level arrival fixpoint -----------------------------------
@@ -578,9 +598,8 @@ class BulkEngine:
             "t": self.t.copy(), "tx_free": self.tx_free.copy(),
             "rx_free": self.rx_free.copy(), "rx_last": self.rx_last.copy(),
             "chan": None if self._chan is None else self._chan.copy(),
-            "hist": (self._hist_arr.copy(), self._hist_start.copy(),
-                     self._hist_resume.copy(), self._hist_ts.copy(),
-                     self._hist_sstart.copy(), self._hist_cur.copy()),
+            "hist": [plane.copy() for plane in self._hist],
+            "hist_cur": self._hist_cur.copy(),
         }
 
     def _restore(self, snap: dict) -> None:
@@ -590,11 +609,9 @@ class BulkEngine:
         self.rx_last[:] = snap["rx_last"]
         if snap["chan"] is not None:
             self._chan[:] = snap["chan"]
-        for dst, src in zip((self._hist_arr, self._hist_start,
-                             self._hist_resume, self._hist_ts,
-                             self._hist_sstart, self._hist_cur),
-                            snap["hist"]):
-            dst[:] = src
+        for plane, saved in zip(self._hist, snap["hist"]):
+            plane[:] = saved
+        self._hist_cur[:] = snap["hist_cur"]
 
     def _sweep(self, m_recv: np.ndarray, table: np.ndarray,
                rx_free0: np.ndarray):
@@ -760,11 +777,11 @@ class BulkEngine:
         # so later strict-pass bookings overwrite oldest-first.
         ring = (self._hist_cur[rk] + (_HISTORY - 1 - from_end[keep])) % _HISTORY
         sel = order[keep]
-        self._hist_arr[rk, ring] = ra[keep]
-        self._hist_start[rk, ring] = h[keep]
-        self._hist_resume[rk, ring] = res_flat[sel]
-        self._hist_ts[rk, ring] = table[1][sel]
-        self._hist_sstart[rk, ring] = table[2][sel]
+        self._hist_arr[ring, rk] = ra[keep]
+        self._hist_start[ring, rk] = h[keep]
+        self._hist_resume[ring, rk] = res_flat[sel]
+        self._hist_ts[ring, rk] = table[1][sel]
+        self._hist_sstart[ring, rk] = table[2][sel]
 
     def run_benchmark(self, barrier_rounds: _t.Sequence[RoundSpec],
                       coll_rounds: _t.Sequence[RoundSpec], *,

@@ -550,6 +550,15 @@ def _truncating_server(chunks):
             data = b""
             while b"\r\n\r\n" not in data:
                 data += conn.recv(65536)
+            # Drain the request body too: closing a socket with unread
+            # input sends a reset, which the client would report as a
+            # lost connection instead of the clean end of stream.
+            head, _sep, body = data.partition(b"\r\n\r\n")
+            length = next((int(line.split(b":", 1)[1])
+                           for line in head.split(b"\r\n")
+                           if line.lower().startswith(b"content-length:")), 0)
+            while len(body) < length:
+                body += conn.recv(65536)
             conn.sendall(b"HTTP/1.1 200 OK\r\n"
                          b"Content-Type: application/x-ndjson\r\n"
                          b"Transfer-Encoding: chunked\r\n\r\n")
